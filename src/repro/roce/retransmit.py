@@ -1,11 +1,20 @@
 """Retransmission timers, one per queue pair (Section 4.1).
 
-Hardware keeps an array of time intervals in on-chip memory and a module
-continuously decrements the active ones; the behavioural equivalent is a
-versioned one-shot timer per QP: re-arming bumps the version so stale
-expirations are ignored, and additionally *interrupts* the pending
-countdown process so hot QPs do not accumulate dead wakeups between
-re-arms (see :meth:`RetransmissionTimer._cancel`).
+Hardware keeps an array of per-QP deadlines in on-chip memory and a
+module counts them down; re-arming only rewrites a QP's entry.  This
+module models that as a lazy deadline table:
+
+- :meth:`RetransmissionTimer.arm` records ``(deadline, key)`` for the QP,
+  where ``key`` is a scheduler id drawn at arm time.  It starts no
+  process and schedules nothing unless the QP has no pending wake-up at
+  or before the new deadline, so at most one wake-up per QP is live.
+- A wake-up that pops finds one of three cases: the QP was disarmed or
+  the wake-up was superseded by an earlier one (nothing happens); the
+  QP was re-armed since (the wake-up moves to the recorded deadline);
+  or the deadline is the one it was pushed for (the timer expires).
+- Because the wake-up is pushed at the recorded ``(deadline, key)``
+  (:meth:`Simulator.call_at`), an expiry dispatches in the same place
+  among same-picosecond events as a timeout created at arm time would.
 
 Recovery semantics beyond the paper's fixed timeout:
 
@@ -29,21 +38,20 @@ Recovery semantics beyond the paper's fixed timeout:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..algos.hashing import fnv1a64
 from ..obs.runtime import registry_for
 from ..sim import Simulator
-from ..sim.events import Interrupt, Process
 
 
 class RetransmissionTimer:
     """Per-QP one-shot retransmission timers.
 
-    ``callback(qpn)`` fires in a fresh simulation process when a timer
-    armed for ``qpn`` expires without being re-armed or disarmed.  With a
-    ``max_retries`` budget, ``on_exhausted(qpn)`` replaces the callback
-    once the budget is spent.
+    ``callback(qpn)`` runs when a timer armed for ``qpn`` expires without
+    being re-armed or disarmed; a generator it returns runs as a new
+    process.  With a ``max_retries`` budget, ``on_exhausted(qpn)``
+    replaces the callback once the budget is spent.
     """
 
     def __init__(self, env: Simulator, timeout: int,
@@ -71,16 +79,14 @@ class RetransmissionTimer:
         self.jitter = jitter
         self.on_exhausted = on_exhausted
         self._rng = random.Random(fnv1a64(name.encode()) & 0x7FFF_FFFF)
-        self._versions: Dict[int, int] = {}
-        self._armed: Dict[int, bool] = {}
+        #: ``(deadline, key)`` of each armed QP.  The burst fast path
+        #: gates folds on the deadline landing after the analytically
+        #: scheduled completion.
+        self._due: Dict[int, Tuple[int, int]] = {}
+        #: The ``_due`` entry each QP's one live wake-up was pushed for.
+        self._wakeup: Dict[int, Tuple[int, int]] = {}
         #: Consecutive expirations without progress, per QP.
         self._attempts: Dict[int, int] = {}
-        #: The pending countdown process per QP (cancelled on re-arm).
-        self._procs: Dict[int, Process] = {}
-        #: Absolute expiry time of the armed timer, per QP (the burst
-        #: fast path gates folds on the deadline landing after the
-        #: analytically scheduled completion).
-        self._deadline: Dict[int, int] = {}
         # Imported here, not at module scope: repro.check reaches back
         # into repro.roce for PSN arithmetic, and this module is pulled
         # in by the roce package __init__.
@@ -119,30 +125,24 @@ class RetransmissionTimer:
         """(Re)start the timer for ``qpn``."""
         if self.check is not None:
             self.check.on_timer_arm(self, qpn)
-        self._cancel(qpn)
-        version = self._versions.get(qpn, 0) + 1
-        self._versions[qpn] = version
-        self._armed[qpn] = True
-        delay = self.next_delay(qpn)
-        self._deadline[qpn] = self.env.now + delay
-        self._procs[qpn] = self.env.process(
-            self._countdown(qpn, version, delay))
+        env = self.env
+        due = (env.now + self.next_delay(qpn), env.next_key())
+        self._due[qpn] = due
+        pending = self._wakeup.get(qpn)
+        if pending is None or pending > due:
+            self._push(qpn, due)
 
     def disarm(self, qpn: int) -> None:
         """Cancel the timer for ``qpn`` (no-op if not armed)."""
-        self._armed[qpn] = False
-        self._versions[qpn] = self._versions.get(qpn, 0) + 1
-        self._deadline.pop(qpn, None)
-        self._cancel(qpn)
+        self._due.pop(qpn, None)
 
     def is_armed(self, qpn: int) -> bool:
-        return self._armed.get(qpn, False)
+        return qpn in self._due
 
     def deadline(self, qpn: int) -> Optional[int]:
         """Absolute expiry time of the armed timer, or None."""
-        if not self._armed.get(qpn, False):
-            return None
-        return self._deadline.get(qpn)
+        due = self._due.get(qpn)
+        return None if due is None else due[0]
 
     def note_progress(self, qpn: int) -> None:
         """Forward progress happened (new ACK / data): reset the backoff
@@ -151,39 +151,34 @@ class RetransmissionTimer:
             self.recoveries.add()
             self._attempts[qpn] = 0
 
-    def _cancel(self, qpn: int) -> None:
-        """Kill the pending countdown so its wakeup never fires (the
-        version bump alone would leave a dead process scheduled until
-        the stale timeout expired)."""
-        proc = self._procs.pop(qpn, None)
-        if proc is not None and proc.is_waiting \
-                and proc is not self.env.active_process:
-            proc.interrupt("re-armed")
+    def _push(self, qpn: int, due: Tuple[int, int]) -> None:
+        self._wakeup[qpn] = due
+        self.env.call_at(due[0], due[1], self._wake, (qpn, due))
 
-    def _countdown(self, qpn: int, version: int, delay: int):
-        if self._versions.get(qpn) != version:
-            # Cancelled before the bootstrap resume ran (same-tick
-            # disarm/re-arm): exit without scheduling a wakeup at all.
+    def _wake(self, event) -> None:
+        qpn, pushed_for = event.value
+        if self._wakeup.get(qpn) is not pushed_for:
+            return  # superseded by an earlier wake-up
+        del self._wakeup[qpn]
+        due = self._due.get(qpn)
+        if due is None:
             return
-        try:
-            yield self.env.timeout(delay)
-        except Interrupt:
+        if due is not pushed_for:
+            self._push(qpn, due)  # re-armed since: wake at the new deadline
             return
-        if self._armed.get(qpn) and self._versions.get(qpn) == version:
-            self._armed[qpn] = False
-            self._deadline.pop(qpn, None)
-            self.expirations.add()
-            attempts = self._attempts.get(qpn, 0) + 1
-            self._attempts[qpn] = attempts
-            if self.max_retries is not None and attempts > self.max_retries:
-                self.exhaustions.add()
-                self._attempts[qpn] = 0
-                handler = self.on_exhausted
-                if handler is None:
-                    return
-                result = handler(qpn)
-            else:
-                result = self.callback(qpn)
-            # Allow generator callbacks (processes) as well as plain calls.
-            if result is not None and hasattr(result, "send"):
-                self.env.process(result)
+        del self._due[qpn]
+        self.expirations.add()
+        attempts = self._attempts.get(qpn, 0) + 1
+        self._attempts[qpn] = attempts
+        if self.max_retries is not None and attempts > self.max_retries:
+            self.exhaustions.add()
+            self._attempts[qpn] = 0
+            handler = self.on_exhausted
+            if handler is None:
+                return
+            result = handler(qpn)
+        else:
+            result = self.callback(qpn)
+        # Allow generator callbacks (processes) as well as plain calls.
+        if result is not None and hasattr(result, "send"):
+            self.env.process(result)

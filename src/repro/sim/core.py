@@ -14,7 +14,7 @@ Usage::
 The engine keeps two queues that together form one global FIFO:
 
 - ``_queue``: a binary heap of ``(time, eid, event)`` for events due in
-  the future (timeouts, explicit ``schedule`` calls);
+  the future (timeouts, explicit ``schedule`` and ``call_at`` calls);
 - ``_ready``: a plain deque of ``(eid, event)`` for events triggered *at
   the current time* (``succeed``/``fail``, process bootstraps and
   terminations) — a deque append/popleft is several times cheaper than a
@@ -34,7 +34,7 @@ import heapq
 from collections import deque
 from heapq import heappop
 from itertools import count
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from .events import AllOf, AnyOf, Event, Process, Timeout
 
@@ -58,6 +58,8 @@ class Simulator:
         #: Bound ``__next__`` of the eid counter: every trigger path draws
         #: an id, so saving the ``next()`` dispatch is measurable.
         self._next_eid = self._eid.__next__
+        #: Draws one event id as a tie-order key for :meth:`call_at`.
+        self.next_key = self._next_eid
         self._active_process: Optional[Process] = None
 
     # ------------------------------------------------------------------
@@ -79,6 +81,25 @@ class Simulator:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._queue,
                        (self._now + delay, self._next_eid(), event))
+
+    def call_at(self, time: int, key: int,
+                callback: Callable[[Event], None], value: Any = None) -> None:
+        """Run ``callback(event)`` at absolute ``time``, ordered by ``key``.
+
+        ``key`` is an event id drawn earlier with :attr:`next_key`.  Among
+        everything due at ``time``, the callback dispatches exactly where
+        an event created at the moment ``key`` was drawn would have: after
+        lower ids, before higher ones, no matter how much later this call
+        is made.  So a component may decide *when* something happens, draw
+        its key then, and push the wake-up lazily.  ``event.value`` is
+        ``value``.  No new id is drawn.
+        """
+        if time < self._now:
+            raise ValueError("cannot schedule into the past")
+        event = Event(self)
+        event._value = value
+        event.callbacks.append(callback)
+        heapq.heappush(self._queue, (time, key, event))
 
     @property
     def events_created(self) -> int:

@@ -158,19 +158,13 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self.triggered
 
-    @property
-    def is_waiting(self) -> bool:
-        """True while the process is suspended on an event.
-
-        False before the bootstrap resume runs and after termination;
-        interrupting is only well-defined while this is True (a process
-        that has not started yet would re-attach to its first yielded
-        event *after* the interrupt detached nothing).
-        """
-        return self._target is not None
-
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        Only well-defined while the process is suspended on an event: one
+        whose bootstrap has not run yet would re-attach to its first
+        yielded event after the interrupt detached nothing.
+        """
         if self.triggered:
             raise RuntimeError("cannot interrupt a terminated process")
         target = self._target

@@ -231,9 +231,9 @@ def test_timer_recovery_counter_on_progress():
 
 
 def test_timer_rearm_churn_leaves_no_pending_wakeups():
-    """Satellite fix: every disarm/re-arm cancels the pending countdown,
-    so a hot QP re-armed thousands of times does not accumulate dead
-    wakeup events (and none of the stale countdowns ever fires)."""
+    """A re-arm only rewrites the QP's deadline entry, so a hot QP
+    re-armed hundreds of times does not accumulate wake-up events, and
+    the one wake-up left after the disarm never fires."""
     env = Simulator()
     fired = []
     timer = RetransmissionTimer(env, timeout=10 * US,
@@ -250,11 +250,12 @@ def test_timer_rearm_churn_leaves_no_pending_wakeups():
     env.run()
     assert fired == []
     assert int(timer.expirations) == 0
-    # Cancelled wakeups cannot outlive the timeout horizon: only events
+    # Stale wakeups cannot outlive the timeout horizon: only events
     # scheduled within the last `timeout` (10 re-arms) may still sit in
-    # the heap awaiting expiry.  Without cancellation all 500 stale
-    # countdowns would remain queued here.
+    # the heap awaiting expiry.
     assert queued_after <= 15
+    # The deadline table keeps at most one wake-up per QP.
+    assert queued_after <= 1
 
 
 def test_timer_not_rearmed_after_error_mid_burst():

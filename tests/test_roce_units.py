@@ -418,6 +418,89 @@ def test_timer_per_qp_independence():
     assert fired == [2]
 
 
+def test_timer_progress_after_backoff_wakes_early():
+    """After a backoff round, progress plus a re-arm sets a deadline
+    earlier than the pending wake-up; the timer fires at that deadline
+    and the superseded wake-up stays silent."""
+    env = Simulator()
+    fired = []
+    timer = RetransmissionTimer(env, timeout=10 * US,
+                                callback=lambda qpn: fired.append(env.now),
+                                jitter=5 * US)
+
+    def scenario():
+        timer.arm(1)
+        yield env.timeout(10 * US)      # first round expires at 10 us
+        timer.arm(1)                    # backoff round: 30-35 us
+        assert timer.deadline(1) >= 30 * US
+        yield env.timeout(2 * US)
+        timer.note_progress(1)
+        timer.arm(1)
+        assert timer.deadline(1) == 22 * US
+
+    env.process(scenario())
+    env.run()
+    assert fired == [10 * US, 22 * US]
+    assert int(timer.expirations) == 2
+
+
+def test_timer_disarm_then_rearm_same_picosecond_fires_once():
+    env = Simulator()
+    fired = []
+    timer = RetransmissionTimer(env, timeout=10 * US,
+                                callback=lambda qpn: fired.append(env.now))
+    timer.arm(1)
+
+    def scenario():
+        yield env.timeout(4 * US)
+        timer.disarm(1)
+        timer.arm(1)
+
+    env.process(scenario())
+    env.run()
+    assert fired == [14 * US]
+    assert int(timer.expirations) == 1
+
+
+def test_timer_ties_dispatch_in_arm_order():
+    """Expiries keep the order of the keys drawn at arm time, among
+    themselves and against a plain timeout due the same picosecond,
+    also when the wake-ups were pushed for an older deadline."""
+    env = Simulator()
+    order = []
+    timer = RetransmissionTimer(env, timeout=10 * US,
+                                callback=lambda qpn: order.append(qpn))
+    timer.arm(2)
+    env.timeout(10 * US).callbacks.append(lambda e: order.append("t"))
+    timer.arm(1)
+
+    def rearm():
+        yield env.timeout(11 * US)
+        for qpn in (2, 1):              # wake-ups pushed for 21 us, 2 first
+            timer.note_progress(qpn)
+            timer.arm(qpn)
+        yield env.timeout(3 * US)
+        timer.arm(1)                    # re-armed to 24 us, 1 first
+        env.timeout(10 * US).callbacks.append(lambda e: order.append("u"))
+        timer.arm(2)
+
+    env.process(rearm())
+    env.run()
+    assert order == [2, "t", 1, 1, "u", 2]
+
+
+def test_timer_arm_draws_one_key_and_starts_no_process():
+    env = Simulator()
+    timer = RetransmissionTimer(env, timeout=10 * US,
+                                callback=lambda qpn: None)
+    for _ in range(3):
+        before = env.events_created
+        timer.arm(1)
+        assert env.events_created - before == 1
+    assert not env._ready               # no process bootstrap
+    assert len(env._queue) == 1         # one wake-up for three arms
+
+
 def test_timer_validation():
     env = Simulator()
     with pytest.raises(ValueError):
